@@ -17,16 +17,17 @@ dependency.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from ..core.errors import ClouDiAError
-from ..solvers.base import SolverResult
+from ..solvers.base import SearchBudget, SolverResult
 
 #: Version tag embedded in every cache entry; bumping it invalidates all
 #: previously written entries at once.
@@ -37,6 +38,28 @@ RESULT_CACHE_VERSION = 1
 #: write duration, so a live sibling writer's temp file is never deleted
 #: out from under its ``os.replace``.
 STALE_TEMP_AGE_S = 3600.0
+
+
+def solver_tag(solver_key: str, config: Mapping[str, Any],
+               budget: Optional[SearchBudget], **extra: Any) -> str:
+    """The solver component of a result-store / coalescing key.
+
+    The problem fingerprint covers everything solver-independent; the tag
+    covers the run configuration — solver key plus a digest of the solver
+    config (seed included), the budget and any ``extra`` fields (the
+    service adds the warm-start plan) — so two solves share a key only
+    when they would execute the same search.
+    """
+    payload = json.dumps(
+        {
+            "config": {key: config[key] for key in sorted(config)},
+            "budget": None if budget is None else budget.to_dict(),
+            **extra,
+        },
+        sort_keys=True, default=repr,
+    )
+    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return f"{solver_key}.{digest}"
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ extension (DESIGN.md, experiment A3).  Moves preserve injectivity:
 * *relocate* — move a node to a currently unused (over-allocated) instance.
 
 Candidate moves are scored through the incremental
-:class:`~repro.core.evaluation.DeltaEvaluator`.  The hot loop is *blocked*:
+:class:`~repro.core.evaluation.DeltaEvaluator`.  The local-search hot loop
+is *blocked*:
 each pass draws up to ``peek_block`` proposals, scores them in one
 vectorized :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` batch,
 and then replays the serial bookkeeping over the cached costs — selecting
@@ -25,12 +26,12 @@ size.  Bit-identity rests on two invariants:
   a block is cut short — an accepted move, a stall limit, an iteration
   cap — the generator is rewound to the block's start state and the
   consumed prefix of proposals is re-drawn, leaving the stream exactly
-  where the serial loop would have left it.  Simulated annealing
-  additionally rewinds before every Metropolis acceptance draw so
-  ``rng.random()`` lands at its serial stream position; since an accepted
-  *or* rejected uphill candidate consumes that draw, annealing's usable
-  lookahead is one scored candidate per block (the block machinery still
-  amortises runs of inadmissible proposals).
+  where the serial loop would have left it.
+
+Simulated annealing is not blocked: every scored candidate is followed by a
+Metropolis acceptance draw (``rng.random()``), accepted *or* rejected, so
+its usable lookahead is one candidate and it runs the serial per-move loop
+whatever ``peek_block`` says.
 
 :class:`SwapLocalSearch` additionally offers an opt-in *best-improvement*
 acceptance mode (``acceptance="best"``): each block commits the best
@@ -188,8 +189,7 @@ def _draw_proposals(evaluator: DeltaEvaluator, rng, constrained: bool,
 
 
 def _block_costs(evaluator: DeltaEvaluator,
-                 proposals: List[Optional[Move]],
-                 workers: Optional[int | str]) -> List[Optional[float]]:
+                 proposals: List[Optional[Move]]) -> List[Optional[float]]:
     """Scores aligned with ``proposals`` (``None`` rows stay ``None``).
 
     A single real proposal takes the serial sparse peek (cheaper than a
@@ -205,7 +205,7 @@ def _block_costs(evaluator: DeltaEvaluator,
         costs[rows[0]] = _peek_move(evaluator, proposals[rows[0]])
         return costs
     batch = MoveBatch.from_moves([proposals[k] for k in rows])
-    for k, cost in zip(rows, evaluator.peek_many(batch, workers=workers)):
+    for k, cost in zip(rows, evaluator.peek_many(batch)):
         costs[k] = float(cost)
     return costs
 
@@ -293,11 +293,9 @@ class SwapLocalSearch(DeploymentSolver):
             if restart == 0 and initial_plan is not None:
                 plan, cost = initial_plan, best_cost
             elif view is None:
-                plan, cost = best_random_plan(graph, costs, objective, 10, rng,
-                                              workers=budget.workers)
+                plan, cost = best_random_plan(graph, costs, objective, 10, rng)
             else:
-                plan, cost = best_constrained_random_plan(
-                    problem, 10, rng, workers=budget.workers)
+                plan, cost = best_constrained_random_plan(problem, 10, rng)
             trace.record(watch.elapsed(), min(cost, best_cost if best_plan else cost))
             evaluator = engine.delta_evaluator(plan, objective,
                                                allowed_mask=mask)
@@ -313,8 +311,7 @@ class SwapLocalSearch(DeploymentSolver):
                 block = max(1, block)
                 snapshot = (rng.bit_generator.state if block > 1 else None)
                 proposals = _draw_proposals(evaluator, rng, constrained, block)
-                costs_block = _block_costs(evaluator, proposals,
-                                           budget.workers)
+                costs_block = _block_costs(evaluator, proposals)
 
                 if self.acceptance == "best":
                     # Opt-in best-improvement: every proposal counts one
@@ -404,10 +401,10 @@ class SwapLocalSearch(DeploymentSolver):
         if best_plan is None:
             if view is None:
                 best_plan, best_cost = best_random_plan(
-                    graph, costs, objective, 1, rng, workers=budget.workers)
+                    graph, costs, objective, 1, rng)
             else:
                 best_plan, best_cost = best_constrained_random_plan(
-                    problem, 1, rng, workers=budget.workers)
+                    problem, 1, rng)
             trace.record(watch.elapsed(), best_cost)
 
         return SolverResult(
@@ -454,94 +451,44 @@ class SimulatedAnnealing(DeploymentSolver):
         mask = None if view is None else view.allowed_mask
         constrained = view is not None
         initial_plan = constrained_warm_start(problem, initial_plan)
-        # Metropolis interleaves an acceptance draw after every scored
-        # candidate, so a pre-drawn block invalidates at the first real
-        # proposal; the usable lookahead is one scored candidate per block
-        # and the serial per-move loop is the fastest bit-identical
-        # schedule.  peek_block > 1 still runs the block machinery (and
-        # stays bit-identical through the rewind/replay), it just cannot
-        # help — see the module docstring.
-        peek_block = budget.peek_block or 1
 
         if initial_plan is not None:
             plan = initial_plan
             cost = engine.evaluate_plan(plan, objective)
         elif view is None:
-            plan, cost = best_random_plan(graph, costs, objective, 10, rng,
-                                          workers=budget.workers)
+            plan, cost = best_random_plan(graph, costs, objective, 10, rng)
         else:
-            plan, cost = best_constrained_random_plan(
-                problem, 10, rng, workers=budget.workers)
+            plan, cost = best_constrained_random_plan(problem, 10, rng)
         evaluator = engine.delta_evaluator(plan, objective, allowed_mask=mask)
         best_plan, best_cost = plan, cost
         trace.record(watch.elapsed(), best_cost)
 
+        # Metropolis interleaves an acceptance draw after every scored
+        # candidate, so a pre-drawn block would be invalidated at its first
+        # real proposal: annealing scores one candidate at a time and
+        # ignores ``peek_block``.
         temperature = self.initial_temperature * max(cost, 1e-9)
         iterations = 0
         no_move_streak = 0
-        exit_walk = False
-        while not exit_walk and not watch.expired():
+        while not watch.expired():
             if budget.max_iterations is not None and iterations >= budget.max_iterations:
                 break
-            block = peek_block
-            if budget.max_iterations is not None:
-                block = min(block, budget.max_iterations - iterations)
-            if block <= 1:
-                # Fast serial path for the default lookahead-1 schedule:
-                # the block machinery's per-iteration list allocations are
-                # measurable in this hot loop, and a 1-wide block buys
-                # nothing.  Same RNG stream and bookkeeping by construction.
-                move = (_propose_constrained_move(evaluator, rng)
-                        if constrained else _propose_move(evaluator, rng))
-                iterations += 1
-                if move is None:
-                    # Heavily constrained walks can run out of admissible
-                    # moves entirely (e.g. every node pinned); stop instead
-                    # of spinning through the remaining wall-clock budget.
-                    no_move_streak += 1
-                    if no_move_streak >= 100:
-                        break
-                    continue
-                no_move_streak = 0
-                candidate_cost = _peek_move(evaluator, move)
-                primed = True  # the serial peek just filled the commit memo
-            else:
-                snapshot = rng.bit_generator.state
-                proposals = _draw_proposals(evaluator, rng, constrained, block)
-                costs_block = _block_costs(evaluator, proposals, budget.workers)
-
-                consumed = 0
-                scored: Optional[int] = None
-                for j, move in enumerate(proposals):
-                    if j > 0 and (
-                            watch.expired()
-                            or (budget.max_iterations is not None
-                                and iterations >= budget.max_iterations)):
-                        break
-                    consumed = j + 1
-                    iterations += 1
-                    if move is None:
-                        # See the no-admissible-moves note on the serial
-                        # path above.
-                        no_move_streak += 1
-                        if no_move_streak >= 100:
-                            exit_walk = True
-                            break
-                        continue
-                    no_move_streak = 0
-                    scored = j
-                    break  # the acceptance decision consumes the RNG stream
-                _resync_rng(rng, snapshot, evaluator, constrained,
-                            consumed, len(proposals))
-                if scored is None:
-                    continue
-                move = proposals[scored]
-                candidate_cost = costs_block[scored]
-                primed = False  # batch peeks bypass the serial commit memo
+            move = (_propose_constrained_move(evaluator, rng)
+                    if constrained else _propose_move(evaluator, rng))
+            iterations += 1
+            if move is None:
+                # Heavily constrained walks can run out of admissible moves
+                # entirely (e.g. every node pinned); stop instead of
+                # spinning through the remaining wall-clock budget.
+                no_move_streak += 1
+                if no_move_streak >= 100:
+                    break
+                continue
+            no_move_streak = 0
+            # The serial peek also fills the evaluator's commit memo.
+            candidate_cost = _peek_move(evaluator, move)
             delta = candidate_cost - cost
             if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-12)):
-                if not primed:
-                    _peek_move(evaluator, move)  # prime the commit memo
                 _apply_move(evaluator, move)
                 cost = candidate_cost
                 temperature *= self.cooling

@@ -28,7 +28,6 @@ from .base import (
     Stopwatch,
     constrained_warm_start,
     default_limits,
-    scoring_engine,
 )
 
 #: Batch sizes for vectorized plan evaluation.  Chunks start small so a
@@ -46,10 +45,6 @@ class RandomSearch(DeploymentSolver):
             solver runs until the budget's time limit (R2 behaviour); when
             set, it stops after that many samples even if time remains
             (R1 behaviour).
-        parallel_factor: emulates generating plans on several workers by
-            multiplying the number of samples evaluated per unit of time
-            accounting; only used to document R2 configurations, the search
-            itself is sequential and deterministic.
         seed: RNG seed.
     """
 
@@ -58,13 +53,10 @@ class RandomSearch(DeploymentSolver):
     supports_warm_start = True
 
     def __init__(self, num_samples: Optional[int] = 1000,
-                 seed: int | None = None, parallel_factor: int = 1):
+                 seed: int | None = None):
         if num_samples is not None and num_samples <= 0:
             raise ValueError("num_samples must be positive or None")
-        if parallel_factor < 1:
-            raise ValueError("parallel_factor must be >= 1")
         self.num_samples = num_samples
-        self.parallel_factor = parallel_factor
         self._seed = seed
 
     @classmethod
@@ -75,9 +67,9 @@ class RandomSearch(DeploymentSolver):
         return solver
 
     @classmethod
-    def r2(cls, seed: int | None = None, parallel_factor: int = 8) -> "RandomSearch":
+    def r2(cls, seed: int | None = None) -> "RandomSearch":
         """The paper's R2 configuration: random search bounded by wall-clock time."""
-        solver = cls(num_samples=None, seed=seed, parallel_factor=parallel_factor)
+        solver = cls(num_samples=None, seed=seed)
         solver.name = "R2"
         return solver
 
@@ -97,7 +89,6 @@ class RandomSearch(DeploymentSolver):
         trace = ConvergenceTrace()
         instances = list(costs.instance_ids)
         engine = self.compiled(graph, costs)
-        scorer = scoring_engine(engine, budget.workers)
         view = problem.compiled_constraints()
         initial_plan = constrained_warm_start(problem, initial_plan)
 
@@ -134,13 +125,13 @@ class RandomSearch(DeploymentSolver):
                     DeploymentPlan.random(graph.nodes, instances, rng)
                     for _ in range(size)
                 ]
-                plan_costs = scorer.evaluate_plans(plans, objective)
+                plan_costs = engine.evaluate_plans(plans, objective)
             else:
                 # Constrained problems: every sample is feasible by
                 # construction (drawn from the allowed-index arrays).
                 assignments = view.random_assignments(size, rng)
                 plans = None
-                plan_costs = scorer.evaluate_batch(assignments, objective)
+                plan_costs = engine.evaluate_batch(assignments, objective)
             for index, cost in enumerate(plan_costs):
                 iterations += 1
                 if cost < best_cost:

@@ -18,6 +18,24 @@ class TestParserAndBuilders:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["advise", "--provider", "unknown-cloud"])
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["solve", "--problem", "p.json"], id="solve"),
+        pytest.param(["solve-batch", "--problem", "p.json"], id="solve-batch"),
+        pytest.param(["watch", "--problem", "p.json", "--trace", "t.json"],
+                     id="watch"),
+        pytest.param(["serve"], id="serve"),
+    ])
+    def test_parser_rejects_removed_eval_workers(self, argv, capsys):
+        # Evaluation parallelism is gone; the option must fail loudly
+        # rather than be swallowed by an argument-prefix match.
+        parser = build_parser()
+        parser.parse_args(argv)
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args([*argv, "--eval-workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --eval-workers" \
+            in capsys.readouterr().err
+
     def test_build_graph_templates(self):
         parser = build_parser()
         mesh = build_graph(parser.parse_args(["advise", "--template", "mesh",

@@ -5,20 +5,21 @@ Four contracts are pinned here:
 * :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` returns
   bit-identical costs to the sequential per-move ``swap_cost`` /
   ``relocate_cost`` peeks — for both objectives, constrained and
-  unconstrained instances, mid-walk after commits, and through every
-  worker routing (serial kernels, thread pool, process pool);
-* the blocked solver loops are bit-identical seed for seed to the
-  historical per-move loops: the committed golden trajectories in
-  ``tests/data/golden_trajectories.json`` (captured from the pre-batching
-  implementation) must keep reproducing exactly, at any ``peek_block``;
+  unconstrained instances, and mid-walk after commits;
+* the blocked local-search loop is bit-identical seed for seed to the
+  historical per-move loop, and annealing ignores ``peek_block``: the
+  committed golden trajectories in ``tests/data/golden_trajectories.json``
+  (captured from the pre-batching implementation) must keep reproducing
+  exactly, at any ``peek_block``;
 * :class:`~repro.core.evaluation.MoveBatch` validates like the serial
   move API (occupied relocate targets, constraint masks, stale cost
-  epochs) and the batch counters surface through ``parallel_stats()`` /
+  epochs) and the batch counters surface through ``move_counters()`` /
   ``SessionStats``;
 * the ``peek_block`` knob round-trips through budgets and sessions, and
   the opt-in best-improvement acceptance mode is registry-visible.
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -34,12 +35,14 @@ from repro.core import (
     DeploymentProblem,
     InvalidDeploymentError,
     MoveBatch,
+    MoveCounters,
     Objective,
     PlacementConstraints,
     SolverError,
     compile_problem,
+    move_counters,
+    reset_move_counters,
 )
-from repro.core.parallel import parallel_stats, reset_parallel_stats
 from repro.solvers import (
     SearchBudget,
     SimulatedAnnealing,
@@ -187,41 +190,28 @@ def test_peek_many_consistent_after_commits(seed, objective):
             evaluator.apply_relocate(first, second)
 
 
-@given(seed=st.integers(0, 1500),
-       workers=st.integers(1, 3))
-@settings(max_examples=15, deadline=None)
-def test_peek_many_worker_routing_bit_identical(seed, workers):
-    # Large enough that count * num_edges crosses the pool routing cutoff.
-    graph = CommunicationGraph.random_dag(40, 0.15, seed=seed)
-    rng = np.random.default_rng(seed + 4)
-    m = 48
-    matrix = rng.uniform(0.1, 2.0, size=(m, m))
-    np.fill_diagonal(matrix, 0.0)
-    problem = compile_problem(graph, CostMatrix(list(range(m)), matrix))
-    start = problem.random_assignments(1, rng)[0]
-    for objective in (Objective.LONGEST_LINK, Objective.LONGEST_PATH):
-        evaluator = problem.delta_evaluator(start, objective)
-        moves = _random_moves(problem, evaluator, rng, 600)
-        batch = MoveBatch.from_moves(moves)
-        serial = evaluator.peek_many(batch)
-        assert np.array_equal(serial, evaluator.peek_many(batch,
-                                                          workers=workers))
-
-
-def test_peek_many_process_pool_routing_bit_identical():
+@pytest.mark.parametrize("objective", [Objective.LONGEST_LINK,
+                                       Objective.LONGEST_PATH])
+def test_peek_many_large_batch_matches_serial_peeks(objective):
+    # Hundreds of moves on a 40-node DAG: the padded gathers and the
+    # level-window sweep run at a block size far above the solvers' default.
     graph = CommunicationGraph.random_dag(40, 0.15, seed=11)
     rng = np.random.default_rng(12)
     m = 48
     matrix = rng.uniform(0.1, 2.0, size=(m, m))
     np.fill_diagonal(matrix, 0.0)
     problem = compile_problem(graph, CostMatrix(list(range(m)), matrix))
-    start = problem.random_assignments(1, rng)[0]
-    evaluator = problem.delta_evaluator(start, Objective.LONGEST_PATH)
-    moves = _random_moves(problem, evaluator, rng, 600)
-    batch = MoveBatch.from_moves(moves)
-    serial = evaluator.peek_many(batch)
-    assert np.array_equal(serial, evaluator.peek_many(batch,
-                                                      workers="procs:2"))
+    evaluator = problem.delta_evaluator(
+        problem.random_assignments(1, rng)[0], objective)
+    for _ in range(2):
+        moves = _random_moves(problem, evaluator, rng, 600)
+        got = evaluator.peek_many(MoveBatch.from_moves(moves))
+        assert np.array_equal(got, _serial_costs(evaluator, moves))
+        kind, first, second = moves[int(np.argmin(got))]
+        if kind == "swap":
+            evaluator.apply_swap(first, second)
+        else:
+            evaluator.apply_relocate(first, second)
 
 
 def test_peek_many_empty_batch():
@@ -329,8 +319,8 @@ def test_golden_trajectories_bit_identical(case):
 @pytest.mark.parametrize("peek_block", [1, 5, 64])
 def test_golden_trajectories_stable_across_block_sizes(peek_block):
     # Every golden case, re-run with an explicit block size: the blocked
-    # loop's rewind/replay keeps the trajectory bit-identical no matter
-    # how much lookahead it buys.
+    # local-search loop's rewind/replay keeps the trajectory bit-identical
+    # no matter how much lookahead it buys, and annealing ignores the knob.
     for case in GOLDEN_CASES[::3]:
         result = _golden_solver(case).solve(
             _golden_problem(case),
@@ -482,16 +472,13 @@ def test_peek_block_only_budget_adopts_default_limits():
     adopted = default_limits(SearchBudget(peek_block=8), default)
     assert adopted.time_limit_s == 2.0
     assert adopted.peek_block == 8
-    both = default_limits(SearchBudget(workers=2, peek_block=8), default)
-    assert both.workers == 2 and both.peek_block == 8
 
 
 def test_session_peek_block_folds_into_budgets():
     with pytest.raises(ValueError):
         AdvisorSession(peek_block=0)
-    session = AdvisorSession(peek_block=16, eval_workers=2)
-    folded = session._effective_budget(None)
-    assert folded.peek_block == 16 and folded.workers == 2
+    session = AdvisorSession(peek_block=16)
+    assert session._effective_budget(None) == SearchBudget(peek_block=16)
     folded = session._effective_budget(SearchBudget(time_limit_s=1.0))
     assert folded.peek_block == 16 and folded.time_limit_s == 1.0
     explicit = session._effective_budget(
@@ -501,11 +488,11 @@ def test_session_peek_block_folds_into_budgets():
 
 
 # --------------------------------------------------------------------------- #
-# Telemetry: batch-peek counters flow to parallel stats and sessions
+# Telemetry: batch-peek counters flow to move counters and sessions
 # --------------------------------------------------------------------------- #
 
-def test_batch_peek_counters_surface_in_parallel_stats():
-    reset_parallel_stats()
+def test_batch_peek_counters_surface_in_move_counters():
+    reset_move_counters()
     graph, costs = _random_instance(17)
     problem = compile_problem(graph, costs)
     start = problem.random_assignments(1, 17)[0]
@@ -513,19 +500,39 @@ def test_batch_peek_counters_surface_in_parallel_stats():
     rng = np.random.default_rng(18)
     moves = _random_moves(problem, evaluator, rng, 12)
     evaluator.peek_many(MoveBatch.from_moves(moves))
-    stats = parallel_stats()
+    stats = move_counters()
     assert stats.batch_peek_calls >= 1
     assert stats.batch_peeked_moves >= 12
-    payload = stats.to_dict()
-    for key in ("delta_peeks", "delta_commits", "batch_peek_calls",
-                "batch_peeked_moves"):
-        assert key in payload
-    reset_parallel_stats()
-    assert parallel_stats().batch_peek_calls == 0
+    assert set(stats.to_dict()) == {"delta_peeks", "delta_commits",
+                                    "batch_peek_calls", "batch_peeked_moves"}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.batch_peek_calls = 0
+    reset_move_counters()
+    assert move_counters() == MoveCounters()
+
+
+def test_move_counters_count_distinct_peeks_commits_and_batches():
+    graph, costs = _random_instance(19, n_lo=6, n_hi=6)
+    problem = compile_problem(graph, costs)
+    evaluator = problem.delta_evaluator(
+        problem.random_assignments(1, 19)[0], Objective.LONGEST_LINK)
+    reset_move_counters()
+    evaluator.swap_cost(0, 1)
+    evaluator.swap_cost(0, 1)  # the cached peek is not re-scored
+    evaluator.swap_cost(2, 3)
+    assert move_counters().delta_peeks == 2
+    evaluator.apply_swap(4, 5)
+    assert move_counters().delta_commits == 1
+    evaluator.peek_many([("swap", 0, 1), ("swap", 1, 2), ("swap", 2, 3)])
+    evaluator.peek_many([("swap", 3, 4)])
+    evaluator.peek_many([])  # an empty block is not a batch call
+    stats = move_counters()
+    assert (stats.batch_peek_calls, stats.batch_peeked_moves) == (2, 4)
+    reset_move_counters()
 
 
 def test_batch_peek_counters_reach_session_stats():
-    reset_parallel_stats()
+    reset_move_counters()
     graph = CommunicationGraph.mesh_2d(3, 3)
     costs = deterministic_cost_matrix(12, seed=8)
     problem = DeploymentProblem(graph, costs,
@@ -536,7 +543,8 @@ def test_batch_peek_counters_reach_session_stats():
         problem=problem, solver="local-search",
         config={"seed": 8},
         budget=SearchBudget(time_limit_s=30.0, max_iterations=300)))
-    payload = session.stats.to_dict()["parallel"]
+    assert "parallel" not in session.stats.to_dict()
+    payload = session.stats.to_dict()["moves"]
     assert payload["batch_peek_calls"] > 0
     assert payload["batch_peeked_moves"] >= payload["batch_peek_calls"]
     assert payload["delta_peeks"] > 0

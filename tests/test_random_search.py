@@ -95,8 +95,6 @@ class TestRandomSearch:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             RandomSearch(num_samples=0)
-        with pytest.raises(ValueError):
-            RandomSearch(parallel_factor=0)
 
     def test_r1_r2_names(self):
         assert RandomSearch.r1().name == "R1"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import DeploymentProblem, Objective
+from repro.api import AdvisorSession, SolveRequest
+from repro.core import CommunicationGraph, DeploymentProblem, Objective
 from repro.solvers import (
     CPLongestLinkSolver,
     DeploymentSolver,
@@ -47,6 +48,20 @@ class TestResolution:
     def test_config_rejected_for_factory_without_field(self):
         with pytest.raises(SolverConfigError):
             default_registry.make("greedy", seed=3)
+
+    @pytest.mark.parametrize("key", ["random", "r2"])
+    def test_removed_parallel_factor_is_an_unknown_config_field(self, key):
+        assert not default_registry.accepts(key, "parallel_factor")
+        with pytest.raises(SolverConfigError, match="parallel_factor"):
+            default_registry.make(key, parallel_factor=8)
+        problem = DeploymentProblem(CommunicationGraph.ring(4),
+                                    deterministic_cost_matrix(5, seed=1))
+        response = AdvisorSession().solve_many([SolveRequest(
+            problem=problem, solver=key, config={"parallel_factor": 8},
+            budget=SearchBudget(max_iterations=10))])[0]
+        assert response.status == "error"
+        assert "does not accept config field(s) parallel_factor" \
+            in response.error
 
     def test_accepts_probes_config_fields(self):
         assert default_registry.accepts("cp", "seed")

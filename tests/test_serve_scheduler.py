@@ -7,7 +7,8 @@ import threading
 
 import pytest
 
-from repro.api import SolveRequest
+from repro.api import AdvisorSession, SolveRequest, WatchPolicy
+from repro.api.cache import solver_tag
 from repro.core import CommunicationGraph, DeploymentProblem
 from repro.core.errors import ClouDiAError
 from repro.serve import (
@@ -23,6 +24,7 @@ from repro.serve import (
     coalesce_key,
     parse_priority,
 )
+from repro.solvers import SearchBudget
 from repro.solvers.registry import default_registry
 from repro.testing import deterministic_cost_matrix
 
@@ -51,6 +53,37 @@ def drain(scheduler):
         job.finish()
         scheduler.complete(job)
         jobs.append(job)
+
+
+class TestSolverTag:
+    """One helper decides the solver half of store and coalescing keys."""
+
+    BUDGET = SearchBudget(time_limit_s=1.5, max_iterations=300)
+
+    def test_golden_tags(self):
+        # Pinned strings: a change here re-keys every stored result.
+        assert solver_tag("local-search", {"seed": 7}, self.BUDGET) \
+            == "local-search.548b3036f0e15d8d"
+        assert solver_tag("local-search", {"seed": 7}, self.BUDGET,
+                          initial_plan=None) \
+            == "local-search.064563c917111c2f"
+        # Budget-less tags are the same strings earlier versions wrote.
+        assert solver_tag("local-search", {"seed": 7}, None) \
+            == "local-search.40366e103fd938df"
+        assert solver_tag("local-search", {"seed": 7}, None,
+                          initial_plan=None) \
+            == "local-search.19f5db51728c5e99"
+
+    def test_store_and_coalescing_keys_use_the_helper(self):
+        for budget in (None, self.BUDGET):
+            policy = WatchPolicy(solver="local-search", config={"seed": 7},
+                                 budget=budget)
+            assert AdvisorSession._solver_cache_tag("local-search", policy) \
+                == solver_tag("local-search", {"seed": 7}, budget)
+            request = SolveRequest(problem=make_problem(), solver="local-search",
+                                   config={"seed": 7}, budget=budget)
+            assert coalesce_key(default_registry, request)[1] == solver_tag(
+                "local-search", {"seed": 7}, budget, initial_plan=None)
 
 
 class TestPriorities:

@@ -377,6 +377,22 @@ class TestAppDispatch:
         assert payload["store"]["writes"] == 1
         assert payload["service"]["latency"]["count"] == 1
 
+    def test_metrics_report_move_counters(self, app):
+        # A local-search solve peeks, commits and batch-scores moves; the
+        # counters surface under ``session.moves`` and nothing is reported
+        # under the removed evaluation-parallelism key.
+        status, _ = app.handle("POST", "/v1/solve",
+                               body=json.dumps(solve_body()).encode())
+        assert status == 200
+        status, payload = app.handle("GET", "/metrics")
+        assert status == 200
+        assert "parallel" not in payload["session"]
+        moves = payload["session"]["moves"]
+        assert set(moves) == {"delta_peeks", "delta_commits",
+                              "batch_peek_calls", "batch_peeked_moves"}
+        assert moves["batch_peek_calls"] > 0
+        assert moves["batch_peeked_moves"] >= moves["batch_peek_calls"]
+
     def test_solvers_catalog_matches_registry(self, app):
         status, payload = app.handle("GET", "/v1/solvers")
         assert status == 200
